@@ -57,10 +57,13 @@ explore:
 # Full gate: everything CI runs, in order. The golden step verifies the
 # pinned experiment artifacts byte-for-byte (no -update), and the shard
 # stack runs uncached so the 2PC and linearizability tests always fire.
+# The benchmark module sits outside ./..., so it is vetted and tested
+# on its own: an internal API change must not break it silently.
 ci: build lint explore
 	$(GO) test -race ./...
 	$(GO) test $(SHARD_PKGS) -count=1
 	$(GO) test ./internal/experiments -run TestGoldenArtifacts -count=1
+	cd _livebench && $(GO) vet ./... && $(GO) test ./...
 	$(MAKE) serve-smoke
 
 # End-to-end smoke over real processes and sockets: build the serve and

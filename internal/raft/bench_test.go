@@ -86,6 +86,42 @@ func BenchmarkLeaderAppendBatch(b *testing.B) {
 	}
 }
 
+// BenchmarkLeaderAppendPipelined keeps 4 submissions in flight on a
+// 3-node cluster: whenever fewer than 4 are uncommitted the leader
+// takes more, and each iteration waits for one more commit. msgs/op
+// counts every message the cluster sent (appends, acks, heartbeats) per
+// committed entry — 4 when each entry costs one append and one ack per
+// follower, more when the leader resends entries already in flight.
+func BenchmarkLeaderAppendPipelined(b *testing.B) {
+	const inflight = 4
+	c := NewCluster(3, nil, Config{Seed: 1}, nil)
+	lead := c.WaitLeader(1000)
+	if lead == nil {
+		b.Fatal("no leader")
+	}
+	c.Run(20)
+	val := types.Value("bench-value-0123456789abcdef")
+	base := lead.CommitFrontier()
+	submitted := 0
+	c.ResetStats()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for submitted < b.N && submitted-int(lead.CommitFrontier()-base) < inflight {
+			lead.Submit(val)
+			submitted++
+		}
+		target := base + types.Seq(i+1)
+		if !c.RunUntil(func() bool { return lead.CommitFrontier() >= target }, 200) {
+			b.Fatal("commit stalled")
+		}
+		for _, n := range c.Nodes {
+			n.TakeDecisions()
+		}
+	}
+	b.ReportMetric(float64(c.Stats().Sent)/float64(b.N), "msgs/op")
+}
+
 // BenchmarkElectionTimeout is the failover ablation: shorter election
 // timeouts recover leadership faster but risk spurious elections under
 // jittery networks. Reported as ticks-to-new-leader after a crash.

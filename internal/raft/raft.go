@@ -94,7 +94,8 @@ type Message struct {
 	LastLogTerm  Term
 	Granted      bool
 
-	// AppendEntries / response
+	// AppendEntries / response. A reject echoes the rejected PrevIndex
+	// and carries the follower's resume hint in MatchIndex.
 	PrevIndex    types.Seq
 	PrevTerm     Term
 	Entries      []LogEntry
@@ -214,9 +215,8 @@ type Node struct {
 	// Candidate state.
 	votes *quorum.Tally
 
-	// Leader state.
-	nextIndex  map[types.NodeID]types.Seq
-	matchIndex map[types.NodeID]types.Seq
+	// Leader state: replication progress per member, self included.
+	prs map[types.NodeID]*progress
 
 	queued []types.Value // submissions awaiting a known leader
 
@@ -310,9 +310,9 @@ func (n *Node) appendLocal(v types.Value) {
 		return // invalid or overlapping membership change: drop
 	}
 	n.appendEntry(LogEntry{Term: n.term, Val: v})
-	n.matchIndex[n.id] = n.lastIndex()
+	n.prs[n.id].match = n.lastIndex()
 	n.maybeCommit() // a single-node cluster commits immediately
-	n.replicateAll()
+	n.broadcastAppend()
 }
 
 // appendEntry appends one entry at lastIndex+1, consuming a membership
@@ -336,7 +336,7 @@ func (n *Node) becomeFollower(term Term, lead types.NodeID) {
 	n.role = follower
 	n.lead = lead
 	n.votes = nil
-	n.nextIndex, n.matchIndex = nil, nil
+	n.prs = nil
 	n.snapXfer = nil
 	if lead >= 0 {
 		n.passive = false // heard from a live leader: full citizen now
@@ -377,67 +377,89 @@ func (n *Node) campaign() {
 func (n *Node) becomeLeader() {
 	n.role = leader
 	n.lead = n.id
-	n.nextIndex = make(map[types.NodeID]types.Seq, len(n.members))
-	n.matchIndex = make(map[types.NodeID]types.Seq, len(n.members))
+	n.prs = make(map[types.NodeID]*progress, len(n.members))
 	for _, p := range n.members {
-		n.nextIndex[p] = n.lastIndex() + 1
-		n.matchIndex[p] = 0
+		n.prs[p] = newProgress(n.lastIndex())
 	}
 	n.snapXfer = nil
-	n.matchIndex[n.id] = n.lastIndex()
 	// A no-op entry from the new term lets the leader commit immediately
 	// (the classic "commit a current-term entry first" rule).
 	n.log = append(n.log, LogEntry{Term: n.term})
-	n.matchIndex[n.id] = n.lastIndex()
 	queued := n.queued
 	n.queued = nil
 	for _, v := range queued {
 		n.log = append(n.log, LogEntry{Term: n.term, Val: v})
-		n.matchIndex[n.id] = n.lastIndex()
 	}
+	n.prs[n.id].match = n.lastIndex()
 	n.hbIn = 0
 	n.maybeCommit()
-	n.replicateAll()
+	n.heartbeat()
 }
 
-func (n *Node) replicateAll() {
+// heartbeat sends every follower an AppendEntries on the heartbeat
+// cadence: it carries the commit index and resends a paused probe. To
+// a follower with nothing new to send (or a full window) it is an empty
+// append at next-1, which a follower that lost an append rejects.
+func (n *Node) heartbeat() {
 	for _, p := range n.members {
 		if p != n.id {
-			n.replicateTo(p)
+			n.replicateTo(p, true)
 		}
 	}
 	n.hbIn = n.cfg.HeartbeatTicks
 }
 
-func (n *Node) replicateTo(p types.NodeID) {
-	next := n.nextIndex[p]
-	if next < 1 {
-		next = 1
+// broadcastAppend streams newly appended entries to every follower
+// whose progress lets them go out now.
+func (n *Node) broadcastAppend() {
+	for _, p := range n.members {
+		if p != n.id {
+			n.replicateTo(p, false)
+		}
 	}
-	if next <= n.snapIndex {
+}
+
+// replicateTo sends p the entries from its next index on, as far as
+// MaxBatch and (when replicating) the in-flight cap allow. Outside a
+// heartbeat it sends nothing when there is nothing new or p is paused.
+// A leader that stepped down (its own removal committed) sends nothing.
+func (n *Node) replicateTo(p types.NodeID, heartbeat bool) {
+	pr := n.prs[p]
+	if n.role != leader || pr == nil || (pr.probeSent && !heartbeat) {
+		return
+	}
+	if pr.next <= n.snapIndex {
 		// The entries this follower needs were compacted away: stream the
 		// snapshot instead, resuming at the follower's last acked offset.
+		pr.probeSent = true
 		n.sendSnapChunk(p)
 		return
 	}
-	prev := next - 1
+	prev := pr.next - 1
 	hi := n.lastIndex()
 	if max := prev + types.Seq(n.cfg.MaxBatch); hi > max {
 		hi = max
 	}
+	if max := pr.match + maxInflight; !pr.probing && hi > max {
+		hi = max
+	}
+	if hi < pr.next && !heartbeat {
+		return
+	}
 	var batch []LogEntry
-	if hi >= next {
+	if hi >= pr.next {
 		// Exact-size header copy: in-flight messages must not alias the
 		// log's backing array (a later truncate-and-append would rewrite
 		// them), but the Values inside are immutable and shared.
-		batch = make([]LogEntry, hi-next+1)
-		copy(batch, n.log[next-n.snapIndex:hi-n.snapIndex+1])
+		batch = make([]LogEntry, hi-pr.next+1)
+		copy(batch, n.log[pr.next-n.snapIndex:hi-n.snapIndex+1])
 	}
 	n.send(Message{
 		Kind: MsgAppend, To: p,
 		PrevIndex: prev, PrevTerm: n.at(prev).Term,
 		Entries: batch, LeaderCommit: n.commitIndex,
 	})
+	pr.sent(hi)
 }
 
 // Step consumes one delivered message.
@@ -516,9 +538,16 @@ func (n *Node) onAppend(m Message) {
 		entries = entries[drop:]
 		prevIndex, prevTerm = n.snapIndex, n.snapTerm
 	}
-	// Log Matching check.
-	if prevIndex > n.lastIndex() || n.at(prevIndex).Term != prevTerm {
-		n.send(Message{Kind: MsgAppendResp, To: m.From, Success: false, MatchIndex: n.commitIndex})
+	// Log Matching check. A reject echoes the rejected PrevIndex, so the
+	// leader can tell it from rejects of older in-flight appends, and
+	// hints where to resume: our last index when the log is short, else
+	// the commit index, below which every entry matches the leader's.
+	if prevIndex > n.lastIndex() {
+		n.send(Message{Kind: MsgAppendResp, To: m.From, PrevIndex: m.PrevIndex, MatchIndex: n.lastIndex()})
+		return
+	}
+	if n.at(prevIndex).Term != prevTerm {
+		n.send(Message{Kind: MsgAppendResp, To: m.From, PrevIndex: m.PrevIndex, MatchIndex: n.commitIndex})
 		return
 	}
 	// Append, truncating conflicts.
@@ -551,26 +580,20 @@ func (n *Node) onAppendResp(m Message) {
 	if n.role != leader || m.Term != n.term {
 		return
 	}
+	pr := n.prs[m.From]
+	if pr == nil {
+		return
+	}
 	if !m.Success {
-		// Back off toward the follower's commit frontier and retry.
-		next := n.nextIndex[m.From]
-		if m.MatchIndex+1 < next {
-			n.nextIndex[m.From] = m.MatchIndex + 1
-		} else if next > 1 {
-			n.nextIndex[m.From] = next - 1
+		if pr.reject(m.PrevIndex, m.MatchIndex) {
+			n.replicateTo(m.From, false)
 		}
-		n.replicateTo(m.From)
 		return
 	}
 	delete(n.snapXfer, m.From)
-	if m.MatchIndex > n.matchIndex[m.From] {
-		n.matchIndex[m.From] = m.MatchIndex
-	}
-	n.nextIndex[m.From] = m.MatchIndex + 1
+	pr.ack(m.MatchIndex)
 	n.maybeCommit()
-	if n.nextIndex[m.From] <= n.lastIndex() {
-		n.replicateTo(m.From)
-	}
+	n.replicateTo(m.From, false)
 }
 
 // maybeCommit advances the commit index to the highest current-term
@@ -582,7 +605,7 @@ func (n *Node) maybeCommit() {
 	}
 	matches := n.matchScratch[:0]
 	for _, p := range n.members {
-		matches = append(matches, n.matchIndex[p])
+		matches = append(matches, n.prs[p].match)
 	}
 	// Insertion sort, descending: clusters are small and sort.Slice's
 	// closure would allocate on every commit check.
@@ -592,10 +615,9 @@ func (n *Node) maybeCommit() {
 		}
 	}
 	candidate := matches[n.q.Threshold()-1]
+	// The new commit index rides the next AppendEntries or heartbeat.
 	if candidate > n.commitIndex && candidate > n.snapIndex && n.at(candidate).Term == n.term {
 		n.advanceCommit(candidate)
-		// Propagate the new commit index promptly.
-		n.replicateAll()
 	}
 }
 
@@ -624,7 +646,7 @@ func (n *Node) Tick() {
 	case leader:
 		n.hbIn--
 		if n.hbIn <= 0 {
-			n.replicateAll()
+			n.heartbeat()
 		}
 	case follower, candidate:
 		n.electionIn--

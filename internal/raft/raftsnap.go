@@ -69,16 +69,21 @@ func (n *Node) TakeInstalledSnapshot() *snapshot.Snapshot {
 }
 
 func (n *Node) setMembers(ms []types.NodeID) {
-	n.members = ms
-	n.q = quorum.Majority{N: len(ms)}
 	if n.role == leader {
+		// A joining member gets fresh progress even if its ID has some
+		// left over: the same ID may come back as a new node with an
+		// empty log, whose match is 0. A removed member's progress stays,
+		// so its late responses still stream it the rest of the log, its
+		// own removal included, and it stops campaigning.
 		for _, p := range ms {
-			if _, ok := n.nextIndex[p]; !ok {
-				n.nextIndex[p] = n.lastIndex() + 1
-				n.matchIndex[p] = 0
+			if !n.isMember(p) || n.prs[p] == nil {
+				n.prs[p] = newProgress(n.lastIndex())
+				delete(n.snapXfer, p)
 			}
 		}
 	}
+	n.members = ms
+	n.q = quorum.Majority{N: len(ms)}
 }
 
 // confAllowed vets a membership change at the leader: well-formed, not
@@ -263,19 +268,16 @@ func (n *Node) onSnapResp(m Message) {
 	if n.role != leader || m.Term != n.term {
 		return
 	}
+	pr := n.prs[m.From]
+	if pr == nil {
+		return
+	}
 	if m.Done {
 		// Install (or already-covered) report: resume entry replication.
 		delete(n.snapXfer, m.From)
-		if m.MatchIndex > n.matchIndex[m.From] {
-			n.matchIndex[m.From] = m.MatchIndex
-		}
-		if m.MatchIndex+1 > n.nextIndex[m.From] {
-			n.nextIndex[m.From] = m.MatchIndex + 1
-		}
+		pr.ack(m.MatchIndex)
 		n.maybeCommit()
-		if n.role == leader && n.nextIndex[m.From] <= n.lastIndex() {
-			n.replicateTo(m.From)
-		}
+		n.replicateTo(m.From, false)
 		return
 	}
 	if m.PrevIndex != n.snapIndex {

@@ -502,3 +502,40 @@ func TestPersisterSnapshotThenSuffix(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+func TestRemovedLeaderStopsSendingAppends(t *testing.T) {
+	peers := []types.NodeID{0, 1}
+	lead := New(0, Config{Peers: peers, Seed: 24})
+	f := New(1, Config{Peers: peers, Seed: 25})
+	for i := 0; i < 100 && lead.role != candidate; i++ {
+		lead.Tick()
+	}
+	lead.Drain()
+	lead.Step(Message{Kind: MsgVote, From: 1, To: 0, Term: lead.term, Granted: true})
+	if !lead.IsLeader() {
+		t.Fatal("setup: no leader")
+	}
+	nodes := map[types.NodeID]*Node{0: lead, 1: f}
+	deliver := func(msgs []Message) {
+		for _, m := range msgs {
+			nodes[m.To].Step(m)
+		}
+	}
+	deliver(lead.Drain())
+	deliver(f.Drain())
+
+	// The survivor acks the leader's removal; committing it steps the
+	// leader down, and a deposed leader must not send another append at
+	// its term — the survivor would adopt it as leader again.
+	lead.Submit(confVal(snapshot.ConfRemove, 0))
+	deliver(lead.Drain())
+	deliver(f.Drain())
+	if lead.IsLeader() {
+		t.Fatal("leader did not step down after its removal committed")
+	}
+	for _, m := range lead.Drain() {
+		if m.Kind == MsgAppend {
+			t.Fatalf("deposed leader sent %v at term %d", m.Kind, m.Term)
+		}
+	}
+}
