@@ -15,8 +15,9 @@ SHARD_PKGS := ./internal/shard/... ./internal/explore ./internal/workload
 
 # Everything `make bench` measures: the simulation hot path plus the
 # protocol hot paths the allocation discipline tracks (raft append,
-# shard 2PC commit, explore episodes and campaign scaling).
-BENCH_PKGS := ./internal/runner ./internal/chaincrypto ./internal/pow ./internal/raft ./internal/shard ./internal/explore
+# multipaxos batched phase 2, shard 2PC commit, explore episodes and
+# campaign scaling).
+BENCH_PKGS := ./internal/runner ./internal/chaincrypto ./internal/pow ./internal/raft ./internal/multipaxos ./internal/shard ./internal/explore
 
 .PHONY: all build test test-race bench bench-json golden lint explore ci cover serve-smoke
 
@@ -82,7 +83,8 @@ cover:
 
 # Micro-benchmarks for the simulation and protocol hot paths (runner
 # event loop, SHA256d mining substrate, PoW mining loop, raft leader
-# append, shard 2PC commit, explore episodes/campaign scaling).
+# append, multipaxos batched accept, shard 2PC commit, explore
+# episodes/campaign scaling).
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$ $(BENCH_PKGS)
 

@@ -78,9 +78,12 @@ func paxosDemo() {
 	// The byzantine node forges Commit messages with altered values —
 	// Multi-Paxos replicas trust commits (crash model assumes no lies).
 	c.Intercept(lead.Leader(), func(m multipaxos.Message) []multipaxos.Message {
-		if m.Kind == multipaxos.MsgCommit && m.To == 1 && m.Val != nil {
+		if m.Kind == multipaxos.MsgCommit && m.To == 1 {
 			forged := m
-			forged.Val = req(99, kvstore.Put("balance", []byte("999999")))
+			forged.Entries = make([]multipaxos.Entry, len(m.Entries))
+			for i, e := range m.Entries {
+				forged.Entries[i] = multipaxos.Entry{Slot: e.Slot, Val: req(99, kvstore.Put("balance", []byte("999999")))}
+			}
 			return []multipaxos.Message{forged}
 		}
 		return []multipaxos.Message{m}

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"fortyconsensus/internal/det"
 	"fortyconsensus/internal/kvstore"
 	"fortyconsensus/internal/types"
 )
@@ -210,5 +211,76 @@ func TestClusterMultiPaxosBackend(t *testing.T) {
 	}
 	if string(got) != "10" {
 		t.Fatalf("pxc = %q, want 10", got)
+	}
+}
+
+// TestClusterMultiPaxosPipelinedFailover keeps 64 Puts in flight on a
+// 2-shard multipaxos cluster, so the leaders batch phase 2, and closes
+// the shard-0 leader while the first wave is outstanding. Every
+// acknowledged Put must read back, and the survivors must hold
+// byte-identical state per shard.
+func TestClusterMultiPaxosPipelinedFailover(t *testing.T) {
+	servers, addrList := startCluster(t, 3, 2, BackendMultiPaxos, 13)
+	cl, err := NewClient(ClientConfig{
+		Addrs: addrList, Shards: 2, SessionBase: 75_000,
+		AttemptTimeout: 2 * time.Second, Deadline: 20 * time.Second,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	dead := findLeader(t, servers, 0)
+
+	const inflight = 64
+	acked := map[string]string{}
+	wave := func(name string, mid func()) {
+		keys, vals, calls := make([]string, inflight), make([]string, inflight), make([]*Call, inflight)
+		for i := range calls {
+			keys[i], vals[i] = fmt.Sprintf("%s-%02d", name, i), fmt.Sprintf("v-%s-%d", name, i)
+			calls[i] = cl.Go(kvstore.Put(keys[i], []byte(vals[i])))
+		}
+		if mid != nil {
+			mid()
+		}
+		for i, c := range calls {
+			if _, err := c.Wait(); err == nil {
+				acked[keys[i]] = vals[i]
+			}
+		}
+	}
+	wave("a", func() {
+		// Let part of the wave commit before the leader dies.
+		waitFor(t, 10*time.Second, func() bool { return servers[dead].Metrics().Committed() > 0 })
+		servers[dead].Close()
+		servers[dead] = nil
+	})
+	wave("b", nil)
+	// The client retries past the failover well within its deadline.
+	if len(acked) != 2*inflight {
+		t.Fatalf("only %d of %d Puts acknowledged", len(acked), 2*inflight)
+	}
+
+	for _, key := range det.SortedKeys(acked) {
+		got, err := cl.Do(kvstore.Get(key))
+		if err != nil {
+			t.Fatalf("get %s: %v", key, err)
+		}
+		if string(got) != acked[key] {
+			t.Fatalf("get %s = %q, want acknowledged %q", key, got, acked[key])
+		}
+	}
+
+	var live []*Server
+	for _, s := range servers {
+		if s != nil {
+			live = append(live, s)
+		}
+	}
+	for sh := 0; sh < 2; sh++ {
+		waitFor(t, 10*time.Second, func() bool {
+			a, okA := live[0].SnapshotKV(sh)
+			b, okB := live[1].SnapshotKV(sh)
+			return okA && okB && bytes.Equal(a, b)
+		})
 	}
 }

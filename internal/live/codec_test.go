@@ -44,7 +44,16 @@ func paxosMessages() []multipaxos.Message {
 				{Slot: 6, AcceptNum: types.Ballot{Num: 1, Owner: 2}, Val: nil},
 			},
 		},
-		{Kind: multipaxos.MsgAccept, From: 1, To: 0, Ballot: types.Ballot{Num: 3, Owner: 1}, Slot: 7, Val: types.Value("v")},
+		{
+			Kind: multipaxos.MsgAccept, From: 1, To: 0, Ballot: types.Ballot{Num: 3, Owner: 1},
+			Entries: []multipaxos.Entry{
+				{Slot: 7, AcceptNum: types.Ballot{Num: 3, Owner: 1}, Val: types.Value("v")},
+				{Slot: 8, AcceptNum: types.Ballot{Num: 3, Owner: 1}, Val: types.Value("w")},
+			},
+		},
+		{Kind: multipaxos.MsgAccepted, From: 0, To: 1, Ballot: types.Ballot{Num: 3, Owner: 1},
+			Entries: []multipaxos.Entry{{Slot: 7}, {Slot: 8}}},
+		{Kind: multipaxos.MsgCommit, From: 1, To: 0, Entries: []multipaxos.Entry{{Slot: 7, Val: types.Value("v")}}},
 		{Kind: multipaxos.MsgCatchup, From: 0, To: 1, Commit: 11},
 		{Kind: multipaxos.MsgState, From: 1, To: 0, Val: types.Value("encoded snapshot"), Commit: 40},
 	}

@@ -46,12 +46,16 @@ func (c NodeConfig) withDefaults() NodeConfig {
 // loop goroutine ever touches the module, the protocol needs no
 // locking — the simulator's single-threaded contract carries over
 // verbatim. All module access from outside goes through Call/CallWait.
+//
+// The loop works in turns. A turn is the event select picked plus every
+// message and call already queued at that moment; the outbox is drained
+// and the after hook runs once per turn, not once per event.
 type Node[M any] struct {
 	mod   Module[M]
 	self  types.NodeID
 	dest  func(M) types.NodeID
 	send  func(M) // deliver one outbound message (dest != self)
-	after func()  // post-event hook: pump decisions, route replies
+	after func()  // post-turn hook: pump decisions, route replies
 
 	cfg   NodeConfig
 	inbox chan M
@@ -65,7 +69,7 @@ type Node[M any] struct {
 // NewNode wraps mod. dest extracts a message's destination; send
 // delivers outbound messages (self-addressed ones short-circuit
 // through Step without touching send); after runs on the loop
-// goroutine after every event, once the module's outbox is drained.
+// goroutine after every turn, once the module's outbox is drained.
 func NewNode[M any](mod Module[M], self types.NodeID, dest func(M) types.NodeID, send func(M), after func(), cfg NodeConfig) *Node[M] {
 	return &Node[M]{
 		mod: mod, self: self, dest: dest, send: send, after: after,
@@ -91,16 +95,32 @@ func (n *Node[M]) loop() {
 		case <-n.stop:
 			return
 		case m := <-n.inbox:
-			n.mod.Step(m)
+			n.turn(func() { n.mod.Step(m) })
 		case <-ticker.C:
-			n.mod.Tick()
+			n.turn(n.mod.Tick)
 		case fn := <-n.calls:
-			fn()
+			n.turn(fn)
 		}
-		n.pump()
-		if n.after != nil {
-			n.after()
-		}
+	}
+}
+
+// turn runs first, the event select picked, then every message and call
+// that was already queued at that moment, so submissions that arrive
+// together leave in one Drain. Anything queued later waits for the next
+// turn, which bounds this one. The outbox is pumped and the after hook
+// runs once, at the end.
+func (n *Node[M]) turn(first func()) {
+	msgs, calls := len(n.inbox), len(n.calls)
+	first()
+	for ; msgs > 0; msgs-- {
+		n.mod.Step(<-n.inbox)
+	}
+	for ; calls > 0; calls-- {
+		(<-n.calls)()
+	}
+	n.pump()
+	if n.after != nil {
+		n.after()
 	}
 }
 

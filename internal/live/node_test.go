@@ -1,6 +1,7 @@
 package live
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -177,5 +178,120 @@ func TestNodeCloseWithoutStart(t *testing.T) {
 	case <-done:
 	case <-time.After(2 * time.Second):
 		t.Fatal("Close on a never-started node hung")
+	}
+}
+
+// turnRecorder is an after hook that reports, per turn, the tags the
+// module had stepped by the end of that turn.
+func turnRecorder(mod *fakeModule) (func(), <-chan []string) {
+	turns := make(chan []string, 64) // room for every turn a test runs, so after never blocks the loop
+	return func() { turns <- mod.steppedTags() }, turns
+}
+
+func nextTurn(t *testing.T, turns <-chan []string) []string {
+	t.Helper()
+	select {
+	case tags := <-turns:
+		return tags
+	case <-time.After(2 * time.Second):
+		t.Fatal("no turn ended")
+		return nil
+	}
+}
+
+func TestNodeTurnRunsQueuedEventsBeforeAfter(t *testing.T) {
+	mod := &fakeModule{}
+	after, turns := turnRecorder(mod)
+	n := NewNode[fakeMsg](mod, 0, func(m fakeMsg) types.NodeID { return m.to },
+		func(fakeMsg) {}, after, NodeConfig{TickEvery: time.Hour})
+	defer n.Close()
+
+	// Queue three messages and three calls before the loop starts: the
+	// first turn must run all six before its one after call.
+	var calls []string
+	for _, tag := range []string{"a", "b", "c"} {
+		n.Deliver(fakeMsg{to: 0, tag: tag})
+		n.Call(func() { calls = append(calls, "call-"+tag) })
+	}
+	n.Start()
+	if got := nextTurn(t, turns); fmt.Sprint(got) != "[a b c]" {
+		t.Fatalf("first turn stepped %v, want [a b c]", got)
+	}
+	var ran []string
+	n.CallWait(func() { ran = append(ran, calls...) })
+	if fmt.Sprint(ran) != "[call-a call-b call-c]" {
+		t.Fatalf("calls run %v, want all three in order", ran)
+	}
+	select {
+	case extra := <-turns:
+		// The CallWait above is a turn of its own; nothing else may be.
+		if fmt.Sprint(extra) != "[a b c]" {
+			t.Fatalf("unexpected extra turn %v", extra)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("CallWait's turn never ended")
+	}
+	select {
+	case extra := <-turns:
+		t.Fatalf("queued events split across turns: extra turn %v", extra)
+	default:
+	}
+}
+
+func TestNodeTurnDefersLateEvents(t *testing.T) {
+	mod := &fakeModule{}
+	after, turns := turnRecorder(mod)
+	n := NewNode[fakeMsg](mod, 0, func(m fakeMsg) types.NodeID { return m.to },
+		func(fakeMsg) {}, after, NodeConfig{TickEvery: time.Hour})
+	defer n.Close()
+
+	// A call queued before the turn delivers "late" while the turn runs;
+	// whichever event select picks first, "late" waits for the next turn.
+	n.Deliver(fakeMsg{to: 0, tag: "early"})
+	n.Call(func() { n.Deliver(fakeMsg{to: 0, tag: "late"}) })
+	n.Start()
+	if got := nextTurn(t, turns); fmt.Sprint(got) != "[early]" {
+		t.Fatalf("first turn stepped %v, want [early]", got)
+	}
+	if got := nextTurn(t, turns); fmt.Sprint(got) != "[early late]" {
+		t.Fatalf("second turn stepped %v, want [early late]", got)
+	}
+}
+
+func TestNodeCloseDuringTurn(t *testing.T) {
+	mod := &fakeModule{}
+	n := NewNode[fakeMsg](mod, 0, func(m fakeMsg) types.NodeID { return m.to },
+		func(fakeMsg) {}, nil, NodeConfig{TickEvery: time.Hour})
+	n.Start()
+	entered, gate := make(chan struct{}), make(chan struct{})
+	n.Call(func() { close(entered); <-gate })
+	<-entered
+	// Queue work behind the blocked turn, then close: Close must wait
+	// for the loop, and a CallWait caught by the close must not hang.
+	for i := 0; i < 10; i++ {
+		n.Deliver(fakeMsg{to: 0, tag: "queued"})
+	}
+	waited := make(chan bool, 1)
+	go func() { waited <- n.CallWait(func() {}) }()
+	closed := make(chan struct{})
+	go func() { n.Close(); close(closed) }()
+	select {
+	case <-closed:
+		t.Fatal("Close returned while a turn was still running")
+	case <-time.After(20 * time.Millisecond):
+	}
+	close(gate)
+	select {
+	case <-closed:
+	case <-time.After(2 * time.Second):
+		t.Fatal("Close hung")
+	}
+	select {
+	case <-waited:
+	case <-time.After(2 * time.Second):
+		t.Fatal("CallWait hung across Close")
+	}
+	if n.Deliver(fakeMsg{}) || n.CallWait(func() {}) {
+		t.Fatal("node accepted work after Close")
 	}
 }

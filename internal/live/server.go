@@ -312,6 +312,7 @@ type smrGroup[M any] struct {
 	installs    int
 
 	pending map[sessKey]*pendingReq
+	enc     []byte // send's encoding scratch buffer
 }
 
 // compactor is the optional module surface the group needs for log
@@ -340,13 +341,18 @@ func newSMRGroup[M any](s *Server, idx int, mod SMRModule[M], codec Codec[M], de
 }
 
 // send encodes one outbound module message and hands it to the
-// transport, prefixed with the group index.
+// transport, prefixed with the group index. It encodes into the group's
+// scratch buffer and sends an exact-size copy, which the transport
+// keeps: a batch of many entries then costs one allocation of its own
+// size, not a chain of doublings. A buffer grown past 1 MiB by a rare
+// large frame (a snapshot) is not kept.
 func (g *smrGroup[M]) send(m M) {
-	frame := make([]byte, 4, 64)
 	idx := uint32(g.idx)
-	frame[0], frame[1], frame[2], frame[3] = byte(idx>>24), byte(idx>>16), byte(idx>>8), byte(idx)
-	frame = g.codec.Append(frame, m)
-	g.srv.tr.Send(g.dest(m), frame)
+	g.enc = g.codec.Append(append(g.enc[:0], byte(idx>>24), byte(idx>>16), byte(idx>>8), byte(idx)), m)
+	g.srv.tr.Send(g.dest(m), append([]byte(nil), g.enc...))
+	if cap(g.enc) > 1<<20 {
+		g.enc = nil
+	}
 }
 
 // deliver decodes one inbound module message and enqueues it.
@@ -396,7 +402,7 @@ func (g *smrGroup[M]) prunePending() {
 
 // pumpDecisions restores any freshly installed snapshot, applies newly
 // committed slots, answers their waiting clients, and compacts on
-// cadence. Runs on the loop goroutine after every event.
+// cadence. Runs on the loop goroutine after every turn.
 func (g *smrGroup[M]) pumpDecisions() {
 	if g.comp != nil {
 		if snap := g.comp.TakeInstalledSnapshot(); snap != nil {

@@ -6,7 +6,9 @@
 //
 // The paper's three stages map directly: Leader Election (phase 1 over
 // all slots at once), Replication (phase 2, Accept/Accepted per slot),
-// and Decision (asynchronous Commit broadcast).
+// and Decision (asynchronous Commit broadcast). Phase 2 is batched per
+// Drain: the slots a leader proposes, and the slots it sees chosen,
+// between two Drains travel as one Accept and one Commit per member.
 //
 // Profile: partially-synchronous, crash, pessimistic, known, 2f+1 nodes,
 // 2 phases in steady state, O(N) messages per decision.
@@ -86,7 +88,9 @@ func (k MsgKind) String() string {
 	return fmt.Sprintf("MsgKind(%d)", uint8(k))
 }
 
-// Entry is one accepted log slot reported during recovery.
+// Entry is one log slot on the wire: an accepted slot reported during
+// recovery, a slot proposed in an Accept or acknowledged in an Accepted
+// (Slot only), or a chosen slot in a Commit.
 type Entry struct {
 	Slot      types.Seq
 	AcceptNum types.Ballot
@@ -98,10 +102,10 @@ type Message struct {
 	Kind     MsgKind
 	From, To types.NodeID
 	Ballot   types.Ballot
-	Slot     types.Seq
-	Val      types.Value
-	Entries  []Entry   // Ack: all accepted entries; Commit batches reuse Entries
-	Commit   types.Seq // Heartbeat: leader's commit frontier
+	Slot     types.Seq   // Catchup: first slot wanted
+	Val      types.Value // Forward: the request; State: the snapshot
+	Entries  []Entry     // Ack, Accept, Accepted, Commit: the slots
+	Commit   types.Seq   // Heartbeat, Ack, State: sender's commit frontier
 }
 
 // Runner accessors.
@@ -141,6 +145,10 @@ const (
 	candidate
 	leader
 )
+
+// maxBatch bounds the entries one Accept, Commit or catch-up reply
+// carries, keeping a turn of large values under a transport frame.
+const maxBatch = 64
 
 // slotState tracks one in-flight phase-2 instance at the leader.
 type slotState struct {
@@ -187,6 +195,10 @@ type Node struct {
 	// (its quorum may have compacted the slots it is missing).
 	ackCommit types.Seq
 	ackFrom   types.NodeID
+	// Phase 2 buffered until Drain: slots proposed and slots chosen
+	// since the last Drain. Stepping down discards both.
+	acceptBuf []Entry
+	commitBuf []Entry
 
 	// Follower timers.
 	electionIn int
@@ -290,12 +302,18 @@ func (n *Node) propose(v types.Value) {
 	}
 	slot := n.nextSlot
 	n.nextSlot++
+	n.accept(slot, v)
+}
+
+// accept starts phase 2 for slot under the current ballot: the leader
+// accepts locally (it is also an acceptor) and buffers the Accept for
+// the next Drain.
+func (n *Node) accept(slot types.Seq, v types.Value) {
 	st := &slotState{val: v, votes: quorum.NewTally(n.quorumFor(slot))}
 	n.inflight[slot] = st
-	// Self-accept locally (the leader is also an acceptor).
 	n.accepted[slot] = acceptedEntry{num: n.curBallot, val: v}
 	st.votes.Add(n.id)
-	n.broadcast(Message{Kind: MsgAccept, Ballot: n.curBallot, Slot: slot, Val: v})
+	n.acceptBuf = append(n.acceptBuf, Entry{Slot: slot, AcceptNum: n.curBallot, Val: v})
 }
 
 // campaign starts phase 1 for the whole log — the view change.
@@ -332,9 +350,6 @@ func (n *Node) Step(m Message) {
 	case MsgCommit:
 		for _, e := range m.Entries {
 			n.learn(e.Slot, e.Val)
-		}
-		if m.Val != nil {
-			n.learn(m.Slot, m.Val)
 		}
 	case MsgHeartbeat:
 		n.onHeartbeat(m)
@@ -375,6 +390,7 @@ func (n *Node) becomeFollowerOf(lead types.NodeID) {
 	n.role = follower
 	n.lead = lead
 	n.inflight = nil
+	n.dropPhase2()
 	if lead >= 0 {
 		n.passive = false // heard from a live leader: full citizen now
 	}
@@ -442,12 +458,7 @@ func (n *Node) becomeLeader() {
 		}
 	}
 	for s := n.commitSeq + 1; s < n.nextSlot; s++ {
-		e := n.recovered[s]
-		st := &slotState{val: e.val, votes: quorum.NewTally(n.quorumFor(s))}
-		n.inflight[s] = st
-		n.accepted[s] = acceptedEntry{num: n.curBallot, val: e.val}
-		st.votes.Add(n.id)
-		n.broadcast(Message{Kind: MsgAccept, Ballot: n.curBallot, Slot: s, Val: e.val})
+		n.accept(s, n.recovered[s].val)
 	}
 	queued := n.queued
 	n.queued = nil
@@ -463,39 +474,53 @@ func (n *Node) onNack(m Message) {
 		if n.role != follower {
 			n.role = follower
 			n.lead = -1
+			n.dropPhase2()
 			n.resetElectionTimer()
 		}
 	}
 }
 
-func (n *Node) onAccept(m Message) {
-	if n.ballot.LessEq(m.Ballot) {
-		if n.ballot.Less(m.Ballot) || n.lead != m.From {
-			n.ballot = m.Ballot
-			n.becomeFollowerOf(m.From)
-		}
-		n.resetElectionTimer()
-		n.accepted[m.Slot] = acceptedEntry{num: m.Ballot, val: m.Val}
-		n.send(Message{Kind: MsgAccepted, To: m.From, Ballot: m.Ballot, Slot: m.Slot})
-		return
-	}
-	n.send(Message{Kind: MsgNack, To: m.From, Ballot: n.ballot})
+// dropPhase2 discards the buffered Accepts and Commits of a leader that
+// steps down, so nothing from its old ballot leaves at the next Drain.
+func (n *Node) dropPhase2() {
+	n.acceptBuf, n.commitBuf = nil, nil
 }
 
+// onAccept checks the ballot once for the whole batch, accepts every
+// slot, and answers with one Accepted listing the slots.
+func (n *Node) onAccept(m Message) {
+	if m.Ballot.Less(n.ballot) {
+		n.send(Message{Kind: MsgNack, To: m.From, Ballot: n.ballot})
+		return
+	}
+	if n.ballot.Less(m.Ballot) || n.lead != m.From {
+		n.ballot = m.Ballot
+		n.becomeFollowerOf(m.From)
+	}
+	n.resetElectionTimer()
+	slots := make([]Entry, len(m.Entries))
+	for i, e := range m.Entries {
+		n.accepted[e.Slot] = acceptedEntry{num: m.Ballot, val: e.Val}
+		slots[i] = Entry{Slot: e.Slot}
+	}
+	n.send(Message{Kind: MsgAccepted, To: m.From, Ballot: m.Ballot, Entries: slots})
+}
+
+// onAccepted tallies each listed slot; a slot that reaches its quorum
+// is learned now and committed to the followers at the next Drain.
 func (n *Node) onAccepted(m Message) {
 	if n.role != leader || m.Ballot != n.curBallot {
 		return
 	}
-	st, ok := n.inflight[m.Slot]
-	if !ok {
-		return
+	for _, e := range m.Entries {
+		st, ok := n.inflight[e.Slot]
+		if !ok || !st.votes.Add(m.From) {
+			continue
+		}
+		delete(n.inflight, e.Slot)
+		n.learn(e.Slot, st.val)
+		n.commitBuf = append(n.commitBuf, Entry{Slot: e.Slot, Val: st.val})
 	}
-	if !st.votes.Add(m.From) {
-		return
-	}
-	delete(n.inflight, m.Slot)
-	n.learn(m.Slot, st.val)
-	n.broadcast(Message{Kind: MsgCommit, Slot: m.Slot, Val: st.val})
 }
 
 // learn records a chosen slot and advances the contiguous commit
@@ -563,7 +588,7 @@ func (n *Node) onCatchup(m Message) {
 		return
 	}
 	// Exact-capacity batch: the frontier bounds how many slots remain.
-	max := 64
+	max := maxBatch
 	if span := int(n.commitSeq - m.Slot + 1); span < max {
 		max = span
 	}
@@ -571,7 +596,7 @@ func (n *Node) onCatchup(m Message) {
 		return
 	}
 	entries := make([]Entry, 0, max)
-	for s := m.Slot; s <= n.commitSeq && len(entries) < 64; s++ {
+	for s := m.Slot; s <= n.commitSeq && len(entries) < maxBatch; s++ {
 		if v, ok := n.chosen[s]; ok {
 			entries = append(entries, Entry{Slot: s, Val: v})
 		}
@@ -604,9 +629,36 @@ func (n *Node) Tick() {
 	}
 }
 
-// Drain returns pending outbound messages.
+// Drain returns pending outbound messages. The buffered phase 2 goes
+// first, each buffer sent to every member in messages of at most
+// maxBatch entries: the Accepts, then the Commits for the slots chosen
+// since the last Drain. Everything else follows, so a heartbeat never
+// overtakes the Commit of a slot whose frontier it advertises.
 func (n *Node) Drain() []Message {
-	out := n.out
+	rest := n.out
+	n.out = nil
+	n.flush(MsgAccept, n.curBallot, n.acceptBuf)
+	n.flush(MsgCommit, types.Ballot{}, n.commitBuf)
+	// Hand the buffers off rather than reuse them: every message of a
+	// broadcast shares the slice, and the simulator delivers it in
+	// process (the types.Value discipline).
+	n.acceptBuf, n.commitBuf = nil, nil
+	if n.out == nil {
+		return rest
+	}
+	out := append(n.out, rest...)
 	n.out = nil
 	return out
+}
+
+// flush broadcasts buf as kind messages of at most maxBatch entries.
+// buf is one of the node's own phase-2 buffers, which Drain hands off
+// to these messages, not a batch loaned by an incoming message.
+func (n *Node) flush(kind MsgKind, b types.Ballot, buf []Entry) {
+	for len(buf) > 0 {
+		k := min(len(buf), maxBatch)
+		//lint:allow valueown buf is the node's own buffer, handed off to the messages by Drain
+		n.broadcast(Message{Kind: kind, Ballot: b, Entries: buf[:k:k]})
+		buf = buf[k:]
+	}
 }

@@ -125,8 +125,10 @@ kill -9 "$P0" 2>/dev/null
 wait "$P0" 2>/dev/null
 P0=""
 
+# The client reads an address's index as its node ID, so dead node 0
+# keeps index 0: a redirect to node 2 must reach $A2, not $A3.
 echo "serve-smoke: load burst 3 (reshaped cluster 1,2,3)"
-"$DIR/consensus-load" -addrs "$A1,$A2,$A3" -duration 2s -workers 8 -session 130000 \
+"$DIR/consensus-load" -addrs "$PEERS4" -duration 2s -workers 8 -session 130000 \
     || die "load burst 3 committed nothing; reshaped cluster did not serve"
 
 echo "serve-smoke: graceful shutdown"
