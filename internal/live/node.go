@@ -15,28 +15,24 @@ type Module[M any] interface {
 	Drain() []M
 }
 
+// Queue bounds of a Node. A full inbox drops messages — the
+// lossy-network fault model again.
+const (
+	inboxLen = 4096 // inbound module messages
+	callLen  = 1024 // queued closures
+)
+
 // NodeConfig tunes one hosted module's driver.
 type NodeConfig struct {
 	// TickEvery is the wall-clock duration of one protocol tick
 	// (default 2ms). Every protocol timeout in the module's config is
 	// expressed in ticks; this is the only place ticks meet the clock.
 	TickEvery time.Duration
-	// InboxLen bounds the inbound message queue (default 4096). A full
-	// inbox drops messages — the lossy-network fault model again.
-	InboxLen int
-	// CallLen bounds the queued closures (default 1024).
-	CallLen int
 }
 
 func (c NodeConfig) withDefaults() NodeConfig {
 	if c.TickEvery <= 0 {
 		c.TickEvery = 2 * time.Millisecond
-	}
-	if c.InboxLen <= 0 {
-		c.InboxLen = 4096
-	}
-	if c.CallLen <= 0 {
-		c.CallLen = 1024
 	}
 	return c
 }
@@ -74,8 +70,8 @@ func NewNode[M any](mod Module[M], self types.NodeID, dest func(M) types.NodeID,
 	return &Node[M]{
 		mod: mod, self: self, dest: dest, send: send, after: after,
 		cfg:   cfg.withDefaults(),
-		inbox: make(chan M, cfg.withDefaults().InboxLen),
-		calls: make(chan func(), cfg.withDefaults().CallLen),
+		inbox: make(chan M, inboxLen),
+		calls: make(chan func(), callLen),
 		stop:  make(chan struct{}),
 		done:  make(chan struct{}),
 	}

@@ -138,7 +138,7 @@ func NewServerOn(ln net.Listener, cfg ServerConfig) (*Server, error) {
 
 // newGroup builds the hosted module for one shard group.
 func newGroup(s *Server, idx int, peers []types.NodeID) (hostedGroup, error) {
-	seed := mixSeed(s.cfg.Seed, uint64(idx))
+	seed := shard.MixSeed(s.cfg.Seed, uint64(idx))
 	switch s.cfg.Backend {
 	case BackendRaft:
 		mod := raft.New(s.cfg.Self, raft.Config{Peers: peers, Seed: seed, Passive: s.cfg.Join})
@@ -149,15 +149,6 @@ func newGroup(s *Server, idx int, peers []types.NodeID) (hostedGroup, error) {
 	default:
 		return nil, fmt.Errorf("live: unknown backend %q", s.cfg.Backend)
 	}
-}
-
-// mixSeed derives a per-shard seed (splitmix64 finalizer), matching
-// internal/shard's derivation so seeded behavior lines up.
-func mixSeed(seed, i uint64) uint64 {
-	z := seed + 0x9e3779b97f4a7c15*(i+1)
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
 }
 
 // Start launches the transport and every group's event loop.
@@ -268,14 +259,17 @@ func (s *Server) Close() {
 // --- the generic hosted group ---
 
 // SMRModule is the surface a hostable consensus module must offer:
-// the runner contract plus submission, leadership, and the decision
-// stream. raft.Node and multipaxos.Node both satisfy it unchanged.
+// the runner contract plus submission, leadership, the decision
+// stream, and the snapshot/membership state the admin status reports.
+// raft.Node and multipaxos.Node both satisfy it unchanged.
 type SMRModule[M any] interface {
 	Module[M]
 	Submit(types.Value)
 	IsLeader() bool
 	Leader() types.NodeID
 	TakeDecisions() []types.Decision
+	Members() []types.NodeID
+	SnapshotIndex() types.Seq
 }
 
 // sessKey identifies one client request for reply routing.
@@ -292,9 +286,9 @@ type pendingReq struct {
 }
 
 // smrGroup hosts one shard group's module: the live.Node event loop,
-// the wire codec, the smr executor applying shard.Store, and the
-// pending-reply table. Everything below node is touched only on the
-// loop goroutine.
+// the wire codec, the smr.Replica applying shard.Store (snapshot
+// restore and compaction included), and the pending-reply table.
+// Everything below node is touched only on the loop goroutine.
 type smrGroup[M any] struct {
 	srv   *Server
 	idx   int
@@ -302,26 +296,11 @@ type smrGroup[M any] struct {
 	codec Codec[M]
 	dest  func(M) types.NodeID
 	node  *Node[M]
-	exec  *smr.Executor
+	rep   *smr.Replica
 	store *shard.Store
-
-	// comp is the module's compaction surface (nil if unsupported).
-	// lastCompact and installs are loop-goroutine state like exec.
-	comp        compactor
-	lastCompact types.Seq
-	installs    int
 
 	pending map[sessKey]*pendingReq
 	enc     []byte // send's encoding scratch buffer
-}
-
-// compactor is the optional module surface the group needs for log
-// compaction and snapshot catch-up; raft.Node and multipaxos.Node both
-// provide it.
-type compactor interface {
-	Compact(upTo types.Seq, state []byte) bool
-	TakeInstalledSnapshot() *snapshot.Snapshot
-	Members() []types.NodeID
 }
 
 func newSMRGroup[M any](s *Server, idx int, mod SMRModule[M], codec Codec[M], dest func(M) types.NodeID) *smrGroup[M] {
@@ -330,10 +309,7 @@ func newSMRGroup[M any](s *Server, idx int, mod SMRModule[M], codec Codec[M], de
 		store:   shard.NewStore(),
 		pending: make(map[sessKey]*pendingReq),
 	}
-	if c, ok := any(mod).(compactor); ok {
-		g.comp = c
-	}
-	g.exec = smr.NewExecutor(s.cfg.Self, g.store)
+	g.rep = smr.NewReplica(mod, smr.NewExecutor(s.cfg.Self, g.store), s.cfg.SnapshotEvery)
 	g.node = NewNode[M](mod, s.cfg.Self, dest, g.send, g.pumpDecisions, NodeConfig{
 		TickEvery: s.cfg.TickEvery,
 	})
@@ -400,52 +376,25 @@ func (g *smrGroup[M]) prunePending() {
 	}
 }
 
-// pumpDecisions restores any freshly installed snapshot, applies newly
-// committed slots, answers their waiting clients, and compacts on
-// cadence. Runs on the loop goroutine after every turn.
+// pumpDecisions runs the replica's decision stage after every loop
+// turn. A snapshot that fails to restore came from a corrupt transfer
+// and is dropped: the module retries the install.
 func (g *smrGroup[M]) pumpDecisions() {
-	if g.comp != nil {
-		if snap := g.comp.TakeInstalledSnapshot(); snap != nil {
-			// The peer that compacted built State with the same executor
-			// codec (SnapshotState); a failed restore means a corrupt
-			// transfer and is dropped — the module retries the install.
-			if err := g.exec.RestoreState(snap.State); err == nil {
-				g.installs++
-				g.lastCompact = snap.LastIndex
-			}
-		}
-	}
-	for _, d := range g.mod.TakeDecisions() {
-		for _, r := range g.exec.Commit(d) {
-			g.srv.met.applied.Add(1)
-			p, ok := g.pending[sessKey{r.Client, r.SeqNo}]
-			if !ok {
-				continue
-			}
-			delete(g.pending, sessKey{r.Client, r.SeqNo})
-			g.srv.met.observeCommit(g.idx, time.Since(p.start))
-			p.cc.Send(Response{ReqID: p.reqID, Status: StatusOK, Leader: int64(g.srv.cfg.Self), Result: r.Result})
-		}
-	}
-	g.maybeCompact()
+	_, _ = g.rep.Pump(g.onReply)
 }
 
-// maybeCompact folds the applied prefix into a snapshot once the apply
-// frontier has outrun the last compaction by SnapshotEvery slots. The
-// module may refuse (e.g. a pending reconfiguration epoch); the next
-// pump simply retries.
-func (g *smrGroup[M]) maybeCompact() {
-	every := g.srv.cfg.SnapshotEvery
-	if g.comp == nil || every <= 0 {
+// onReply counts one applied client command and answers its waiting
+// client, if this node accepted the submission.
+func (g *smrGroup[M]) onReply(r types.Reply) {
+	g.srv.met.applied.Add(1)
+	k := sessKey{r.Client, r.SeqNo}
+	p, ok := g.pending[k]
+	if !ok {
 		return
 	}
-	upTo := g.exec.NextSlot() - 1
-	if upTo < g.lastCompact+types.Seq(every) {
-		return
-	}
-	if g.comp.Compact(upTo, g.exec.SnapshotState()) {
-		g.lastCompact = upTo
-	}
+	delete(g.pending, k)
+	g.srv.met.observeCommit(g.idx, time.Since(p.start))
+	p.cc.Send(Response{ReqID: p.reqID, Status: StatusOK, Leader: int64(g.srv.cfg.Self), Result: r.Result})
 }
 
 func (g *smrGroup[M]) start() { g.node.Start() }
@@ -467,23 +416,16 @@ func (g *smrGroup[M]) status() (GroupStatus, bool) {
 	var st GroupStatus
 	ok := g.node.CallWait(func() {
 		st = GroupStatus{
-			Shard:    g.idx,
-			IsLeader: g.mod.IsLeader(),
-			Leader:   int64(g.mod.Leader()),
-			Commit:   uint64(g.exec.NextSlot() - 1),
-			Installs: g.installs,
-			Digest:   kvDigest(g.store.KV().Snapshot()),
+			Shard:     g.idx,
+			IsLeader:  g.mod.IsLeader(),
+			Leader:    int64(g.mod.Leader()),
+			Commit:    uint64(g.rep.Executor().NextSlot() - 1),
+			SnapIndex: uint64(g.mod.SnapshotIndex()),
+			Installs:  g.rep.Installs(),
+			Digest:    kvDigest(g.store.KV().Snapshot()),
 		}
-		if g.comp != nil {
-			for _, m := range g.comp.Members() {
-				st.Members = append(st.Members, int64(m))
-			}
-		}
-		switch mod := any(g.mod).(type) {
-		case interface{ SnapshotIndex() types.Seq }: // raft
-			st.SnapIndex = uint64(mod.SnapshotIndex())
-		case interface{ CompactFrontier() types.Seq }: // multipaxos
-			st.SnapIndex = uint64(mod.CompactFrontier())
+		for _, m := range g.mod.Members() {
+			st.Members = append(st.Members, int64(m))
 		}
 	})
 	return st, ok

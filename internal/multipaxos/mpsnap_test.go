@@ -42,8 +42,8 @@ func TestCompactAndStateTransferCatchUp(t *testing.T) {
 		if !n.Compact(upTo, c.Execs[i].SnapshotState()) {
 			t.Fatalf("node %v: compact at %d refused", n.id, upTo)
 		}
-		if n.CompactFrontier() != upTo {
-			t.Fatalf("node %v: compact frontier %d, want %d", n.id, n.CompactFrontier(), upTo)
+		if n.SnapshotIndex() != upTo {
+			t.Fatalf("node %v: compact frontier %d, want %d", n.id, n.SnapshotIndex(), upTo)
 		}
 	}
 	// Two replicas compacted at the same frontier hold identical bytes.
@@ -61,7 +61,7 @@ func TestCompactAndStateTransferCatchUp(t *testing.T) {
 	if straggler.CommitFrontier() != lead.CommitFrontier() {
 		t.Fatalf("straggler commit %d, leader %d", straggler.CommitFrontier(), lead.CommitFrontier())
 	}
-	if straggler.CompactFrontier() == 0 {
+	if straggler.SnapshotIndex() == 0 {
 		t.Fatal("straggler caught up without a state transfer (compacted slots should be unreachable)")
 	}
 	if err := smr.CheckPrefixConsistency(c.Execs...); err != nil {
@@ -173,7 +173,7 @@ func TestJoinerCatchesUpThroughSnapshotAndCommits(t *testing.T) {
 	if joiner.CommitFrontier() != lead.CommitFrontier() {
 		t.Fatalf("joiner commit %d, leader %d", joiner.CommitFrontier(), lead.CommitFrontier())
 	}
-	if joiner.CompactFrontier() == 0 {
+	if joiner.SnapshotIndex() == 0 {
 		t.Fatal("joiner caught up without installing the state-transfer snapshot")
 	}
 	if got := joiner.Members(); len(got) != 4 {

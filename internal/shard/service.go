@@ -149,7 +149,7 @@ func NewService(cfg Config) *Service {
 		metrics:   newMetrics(),
 	}
 	for i := 0; i < cfg.Shards; i++ {
-		g, err := NewGroup(cfg.Backend, cfg.Replicas, mixSeed(cfg.Seed, uint64(i)))
+		g, err := NewGroup(cfg.Backend, cfg.Replicas, MixSeed(cfg.Seed, uint64(i)))
 		if err != nil {
 			panic(err)
 		}
@@ -166,8 +166,10 @@ func NewService(cfg Config) *Service {
 	return s
 }
 
-// mixSeed derives a per-shard fabric seed (splitmix64 finalizer).
-func mixSeed(seed, i uint64) uint64 {
+// MixSeed derives shard i's seed from a cluster seed (splitmix64
+// finalizer). The live runtime seeds its groups with it too, so seeded
+// behavior lines up between the two hosts.
+func MixSeed(seed, i uint64) uint64 {
 	z := seed + 0x9e3779b97f4a7c15*(i+1)
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
