@@ -59,6 +59,7 @@ type memberEpisode struct {
 	lastSnap []types.Seq // per node: last seen snapshot index
 
 	pending       []nemesis.Event // membership changes awaiting commitment
+	admitted      bool            // pending[0] is an add whose fresh instance is in
 	installs      int
 	compactions   int
 	expectInstall bool // an add happened after every member had compacted
@@ -112,8 +113,9 @@ func newRaftMemberEpisode(n int, seed uint64) *Episode {
 }
 
 // memberTarget extends the runner cluster with nemesis.MemberTarget:
-// removal kills the node and queues the conf change; re-admission swaps
-// in a fresh, stateless passive instance before queueing its conf-add.
+// removal kills the node and queues the conf change; re-admission
+// queues the conf-add, and the fresh instance replaces the node only
+// once its removal is committed (see driveMembership).
 type memberTarget struct {
 	*runner.Cluster[raft.Message]
 	ep *memberEpisode
@@ -125,11 +127,18 @@ func (t memberTarget) RemoveNode(id types.NodeID) {
 }
 
 func (t memberTarget) AddNode(id types.NodeID) {
-	ep := t.ep
-	i := int(id)
-	if i < 0 || i >= ep.size {
+	if i := int(id); i < 0 || i >= t.ep.size {
 		return
 	}
+	t.ep.pending = append(t.ep.pending, nemesis.Event{Op: nemesis.OpAddNode, Node: id})
+}
+
+// admit swaps a fresh, stateless passive instance in for node id. It
+// runs only once id's removal is committed: a fresh instance still in
+// the config would vote with none of the log its predecessor
+// acknowledged, and could elect a leader missing committed entries.
+func (ep *memberEpisode) admit(id types.NodeID) {
+	i := int(id)
 	// A fresh joiner must start passive: it has no log, no config, and
 	// must not disrupt the incumbent leader with early campaigns.
 	fresh := raft.New(id, raft.Config{
@@ -141,7 +150,7 @@ func (t memberTarget) AddNode(id types.NodeID) {
 	ep.applied[i] = 0
 	ep.nodeFp[i] = fnvOffset
 	ep.lastSnap[i] = 0
-	t.Cluster.Restart(id)
+	ep.c.Restart(id)
 	// If every surviving member has already compacted, the joiner's
 	// prefix is gone cluster-wide: only a snapshot install can catch it
 	// up, so a run that ends without one is a stall.
@@ -154,13 +163,14 @@ func (t memberTarget) AddNode(id types.NodeID) {
 	if all {
 		ep.expectInstall = true
 	}
-	ep.pending = append(ep.pending, nemesis.Event{Op: nemesis.OpAddNode, Node: id})
 }
 
 // driveMembership pushes the oldest queued membership change until the
 // canonical committed history reflects it, resubmitting through
 // whichever node currently leads (leader churn, truncation-reverted
 // conf entries, and refused overlapping changes all end in a retry).
+// A re-admission first swaps in the fresh instance, once: the queue
+// reaches an add only after the removal before it is committed.
 func (ep *memberEpisode) driveMembership() {
 	if len(ep.pending) == 0 {
 		return
@@ -169,7 +179,12 @@ func (ep *memberEpisode) driveMembership() {
 	inFold := memberIn(ep.members, e.Node)
 	if (e.Op == nemesis.OpAddNode) == inFold {
 		ep.pending = ep.pending[1:]
+		ep.admitted = false
 		return
+	}
+	if e.Op == nemesis.OpAddNode && !ep.admitted {
+		ep.admit(e.Node)
+		ep.admitted = true
 	}
 	for i, n := range ep.c.Nodes {
 		if ep.c.Crashed(types.NodeID(i)) || !n.IsLeader() {

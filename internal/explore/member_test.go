@@ -33,6 +33,40 @@ func TestRaftMemberSnapshotCatchUp(t *testing.T) {
 	}
 }
 
+// A node removed and re-admitted before its removal commits keeps its
+// old instance until the removal is in the committed history. Swapping
+// the fresh instance in earlier let it vote, with an empty log, while
+// still a member, and elect a leader missing committed entries.
+func TestRaftMemberReAdmitWaitsForRemoval(t *testing.T) {
+	e := newRaftMemberEpisode(5, 7)
+	mt := e.Target.(memberTarget)
+	ep := mt.ep
+	old := ep.c.Nodes[4]
+	// Both events land before any leader exists, so the removal cannot
+	// have committed when the re-admission arrives.
+	mt.RemoveNode(4)
+	mt.AddNode(4)
+	now := 0
+	for ; now < 600 && len(ep.pending) == 2; now++ {
+		if ep.c.Nodes[4] != old {
+			t.Fatalf("tick %d: fresh instance swapped in before the removal committed", now)
+		}
+		e.Tick(now)
+	}
+	if memberIn(ep.members, 4) {
+		t.Fatal("removal never committed")
+	}
+	for ; now < 1200 && len(ep.pending) > 0; now++ {
+		e.Tick(now)
+	}
+	if ep.c.Nodes[4] == old || !memberIn(ep.members, 4) {
+		t.Fatal("node 4 was not re-admitted as a fresh instance")
+	}
+	if v := e.Check(); v != nil {
+		t.Fatal(v)
+	}
+}
+
 // A seeded campaign mixing membership churn with crashes and
 // partitions: no schedule may produce a safety violation, and the
 // sweep must be deterministic end to end.
